@@ -1156,8 +1156,19 @@ fn host_apply_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, lsn: u
             }
         } else {
             let map = st.backups.entry(entry.shard).or_default();
-            for (k, p, ver) in &entry.writes {
-                backup_apply(map, &mut st.backup_gaps, *k, p, *ver);
+            for (i, (k, _, ver)) in entry.writes.iter().enumerate() {
+                // A record may name one key more than once (TPC-C
+                // new-order draws stock items with replacement); every
+                // write of it carries the same version, so they apply
+                // together, in record order, at the key's first mention.
+                if entry.writes[..i].iter().any(|(seen, ..)| seen == k) {
+                    continue;
+                }
+                let payloads = entry.writes[i..]
+                    .iter()
+                    .filter(|(key, ..)| key == k)
+                    .map(|(_, p, _)| p);
+                backup_apply(map, &mut st.backup_gaps, *k, *ver, payloads);
             }
         }
         applied_to = Some(lsn);
@@ -1169,20 +1180,24 @@ fn host_apply_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, lsn: u
     }
 }
 
-/// Applies one backup-replica write in per-key version order. In-order
-/// records (`ver == cur + 1`, the only case the all-ack backends ever
-/// produce) install directly; a record past a gap is buffered until the
-/// missing versions land (the Raft backend's laggard catch-up can
-/// deliver an older append after a newer transaction's direct append);
-/// a record at or below the installed version is a duplicate and drops.
-/// `Full` payloads replace, deltas accumulate — both are correct only
-/// in version order, which this enforces.
-fn backup_apply(
+/// Applies one commit record's writes of key `k` (all at version `ver`,
+/// in record order) to a backup replica, in per-key version order.
+/// In-order records (`ver == cur + 1`, the only case the all-ack
+/// backends ever produce) install directly; a record past a gap is
+/// buffered until the missing versions land (the Raft backend's laggard
+/// catch-up can deliver an older append after a newer transaction's
+/// direct append); a record at or below the installed version is a
+/// duplicate and drops. The version check covers the record's writes of
+/// `k` as one unit, so a record naming `k` twice applies both writes,
+/// exactly as the primary does, and a re-delivered record applies
+/// neither. `Full` payloads replace, deltas accumulate — both are
+/// correct only in version order, which this enforces.
+fn backup_apply<'a>(
     map: &mut FastMap<Key, (Value, Version)>,
     gaps: &mut FastMap<Key, Vec<(WritePayload, Version)>>,
     k: Key,
-    p: &WritePayload,
     ver: Version,
+    payloads: impl Iterator<Item = &'a WritePayload>,
 ) {
     let cur = map.get(&k).map_or(0, |slot| slot.1);
     if ver <= cur {
@@ -1191,29 +1206,32 @@ fn backup_apply(
     if ver > cur + 1 {
         let pending = gaps.entry(k).or_default();
         if !pending.iter().any(|(_, v)| *v == ver) {
-            pending.push((p.clone(), ver));
+            pending.extend(payloads.map(|p| (p.clone(), ver)));
         }
         return;
     }
-    match map.get_mut(&k) {
-        Some(slot) => {
-            p.apply_in_place(&mut slot.0);
-            slot.1 = ver;
-        }
-        None => {
-            map.insert(k, (p.apply(&Value::filled(0, 0)), ver));
-        }
+    let slot = map.entry(k).or_insert_with(|| (Value::filled(0, 0), cur));
+    for p in payloads {
+        p.apply_in_place(&mut slot.0);
     }
+    slot.1 = ver;
     // The gap just closed may unblock buffered successors; drain every
-    // now-contiguous version in order.
+    // now-contiguous version in order (a version's writes stay in
+    // record order: `retain` visits and keeps in order).
     if let Some(pending) = gaps.get_mut(&k) {
-        let mut next = ver + 1;
-        while let Some(i) = pending.iter().position(|(_, v)| *v == next) {
-            let (dp, dv) = pending.swap_remove(i);
-            let slot = map.get_mut(&k).expect("just installed");
-            dp.apply_in_place(&mut slot.0);
-            slot.1 = dv;
-            next = dv + 1;
+        loop {
+            let next = slot.1 + 1;
+            let before = pending.len();
+            pending.retain(|(p, v)| {
+                if *v == next {
+                    p.apply_in_place(&mut slot.0);
+                }
+                *v != next
+            });
+            if pending.len() == before {
+                break;
+            }
+            slot.1 = next;
         }
         if pending.is_empty() {
             gaps.remove(&k);
@@ -2667,6 +2685,9 @@ fn log_record_durable(
 // Server-NIC handlers
 // =====================================================================
 
+/// Per-scan cap on the rows `snic_execute` reserves room for up front.
+const SCAN_ROWS_PRESIZE: u32 = 256;
+
 #[allow(clippy::too_many_arguments)]
 fn snic_execute(
     st: &mut XenicNode,
@@ -2729,7 +2750,14 @@ fn snic_execute(
     let mut scan_obs = ScanObsSet::new();
     let mut scan_values: Vec<(Key, Value, Version)> = Vec::new();
     if !scans.is_empty() {
-        let mut scan_rows: Vec<(Key, Value, Version)> = Vec::new();
+        // Presized from the scans' limits (capped: an unlimited scan
+        // says nothing about its row count).
+        let mut scan_rows: Vec<(Key, Value, Version)> = Vec::with_capacity(
+            scans
+                .iter()
+                .map(|s| s.limit.min(SCAN_ROWS_PRESIZE) as usize)
+                .sum(),
+        );
         let mut visits_total = 0u64;
         let mut conflict = false;
         let XenicNode {
@@ -2738,22 +2766,12 @@ fn snic_execute(
             hermes_invalid,
             ..
         } = &*st;
+        let segment_of = |k| host_table.segment_of_key(k);
         for s in &scans {
             let mut count = 0u32;
             let mut fp = SCAN_FP_INIT;
             let mut hi_obs = s.hi;
-            let visits = nic_index.range_walk(s.lo, s.hi, Some(txn), &mut |k, v| {
-                let Some(ver) = v else {
-                    // Another transaction's uncommitted insert sentinel.
-                    conflict = true;
-                    return false;
-                };
-                let seg = host_table.segment_of_key(k);
-                let lock = nic_index.lock_state(seg, k);
-                if lock.is_held() && !lock.held_by(txn) {
-                    conflict = true;
-                    return false;
-                }
+            let walk = nic_index.walk_range(s.lo, s.hi, txn, segment_of, &mut |k, ver, cached| {
                 // Hermes: rows under an in-flight invalidation are not
                 // readable (see the point-read check above).
                 if !hermes_invalid.is_empty()
@@ -2762,8 +2780,8 @@ fn snic_execute(
                     conflict = true;
                     return false;
                 }
-                let value = match nic_index.peek_value(seg, k) {
-                    Some(val) => val,
+                let value = match cached {
+                    Some(val) => val.clone(),
                     None => match host_table.get(k) {
                         Some((val, hv)) if hv == ver => val.clone(),
                         // Host copy lags the committed version (the log
@@ -2784,7 +2802,8 @@ fn snic_execute(
                 }
                 true
             });
-            visits_total += visits as u64;
+            visits_total += walk.visits as u64;
+            conflict |= walk.conflict;
             if conflict {
                 break;
             }
@@ -3228,27 +3247,17 @@ fn snic_validate(
             host_table,
             ..
         } = &*st;
+        let segment_of = |k| host_table.segment_of_key(k);
         for sc in &scan_checks {
             let mut count = 0u32;
             let mut fp = SCAN_FP_INIT;
-            let mut clean = true;
-            let visits = nic_index.range_walk(sc.lo, sc.hi_obs, Some(txn), &mut |k, v| {
-                let Some(ver) = v else {
-                    clean = false;
-                    return false;
-                };
-                let seg = host_table.segment_of_key(k);
-                let lock = nic_index.lock_state(seg, k);
-                if lock.is_held() && !lock.held_by(txn) {
-                    clean = false;
-                    return false;
-                }
+            let walk = nic_index.walk_range(sc.lo, sc.hi_obs, txn, segment_of, &mut |k, ver, _| {
                 count += 1;
                 fp = scan_fingerprint(fp, k, ver);
                 true
             });
-            visits_total += visits as u64;
-            if !clean || count != sc.count || fp != sc.fp {
+            visits_total += walk.visits as u64;
+            if walk.conflict || count != sc.count || fp != sc.fp {
                 ok = false;
                 break;
             }

@@ -136,6 +136,32 @@ impl<T, const N: usize> SmallVec<T, N> {
         }
     }
 
+    /// Removes and returns the element at `index`, moving the last
+    /// element into its place (not order-preserving, exactly like
+    /// `Vec::swap_remove`).
+    pub fn swap_remove(&mut self, index: usize) -> T {
+        let last = self.len() - 1;
+        self.as_mut_slice().swap(index, last);
+        self.pop().expect("non-empty")
+    }
+
+    /// Keeps only the elements `f` accepts, in their original order
+    /// (like `Vec::retain`).
+    pub fn retain(&mut self, mut f: impl FnMut(&T) -> bool) {
+        if let Repr::Heap(v) = &mut self.repr {
+            v.retain(f);
+            return;
+        }
+        let mut i = 0;
+        while i < self.len() {
+            if f(&self[i]) {
+                i += 1;
+            } else {
+                drop(self.remove(i));
+            }
+        }
+    }
+
     /// Drops all elements. A spilled vector keeps its heap capacity, so
     /// pooled containers don't re-allocate on reuse.
     pub fn clear(&mut self) {
@@ -415,6 +441,21 @@ mod tests {
             let rest: Vec<u32> = v.iter().copied().collect();
             let expect: Vec<u32> = (0..n).filter(|&i| i != 2).collect();
             assert_eq!(rest, expect);
+        }
+    }
+
+    #[test]
+    fn swap_remove_and_retain_match_vec() {
+        for n in [3u32, 9] {
+            let mut v: SmallVec<u32, 4> = (0..n).collect();
+            let mut r: Vec<u32> = (0..n).collect();
+            assert_eq!(v.swap_remove(1), r.swap_remove(1));
+            assert_eq!(v.as_slice(), r.as_slice());
+            v.retain(|x| x % 2 == 0);
+            r.retain(|x| x % 2 == 0);
+            assert_eq!(v.as_slice(), r.as_slice());
+            assert_eq!(v.swap_remove(v.len() - 1), r.swap_remove(r.len() - 1));
+            assert_eq!(v.as_slice(), r.as_slice());
         }
     }
 

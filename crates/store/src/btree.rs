@@ -276,6 +276,21 @@ impl<V> BTree<V> {
     where
         F: FnMut(TreeKey, &'a V) -> bool,
     {
+        self.range_visit_leaves(lo, hi, &mut |keys, vals| {
+            keys.iter().zip(vals).all(|(&k, v)| f(k, v))
+        })
+    }
+
+    /// [`Self::range_visit`] a leaf at a time: `f(keys, vals)` receives
+    /// each leaf's non-empty run of keys in `lo..=hi` (with their values)
+    /// and returns `false` to stop. A caller that stops in the leaf where
+    /// a per-key visitor would have stopped sees the same keys and the
+    /// same visited-node count; batching just lets it look at a leaf's
+    /// rows together (the NIC walk prefetches their index entries).
+    pub fn range_visit_leaves<'a, F>(&'a self, lo: TreeKey, hi: TreeKey, f: &mut F) -> usize
+    where
+        F: FnMut(&'a [TreeKey], &'a [V]) -> bool,
+    {
         let mut visited = 0;
         Self::range_visit_rec(&self.root, lo, hi, f, &mut visited);
         visited
@@ -290,31 +305,21 @@ impl<V> BTree<V> {
         visited: &mut usize,
     ) -> bool
     where
-        F: FnMut(TreeKey, &'a V) -> bool,
+        F: FnMut(&'a [TreeKey], &'a [V]) -> bool,
     {
         *visited += 1;
         match node {
             Node::Leaf { keys, vals } => {
                 let start = keys.partition_point(|&k| k < lo);
-                for i in start..keys.len() {
-                    if keys[i] > hi {
-                        break;
-                    }
-                    if !f(keys[i], &vals[i]) {
-                        return false;
-                    }
-                }
-                true
+                let end = start + keys[start..].partition_point(|&k| k <= hi);
+                start == end || f(&keys[start..end], &vals[start..end])
             }
             Node::Internal { keys, children } => {
                 let first = keys.partition_point(|&k| k <= lo);
                 let last = keys.partition_point(|&k| k <= hi);
-                for child in &children[first..=last] {
-                    if !Self::range_visit_rec(child, lo, hi, f, visited) {
-                        return false;
-                    }
-                }
-                true
+                children[first..=last]
+                    .iter()
+                    .all(|child| Self::range_visit_rec(child, lo, hi, f, visited))
             }
         }
     }

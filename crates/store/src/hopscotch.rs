@@ -14,7 +14,7 @@
 
 use crate::hash::slot_for;
 use crate::types::{Key, Value, Version};
-use std::collections::HashMap;
+use xenic_sim::FastMap;
 
 /// Per-slot metadata bytes (key + version + length), matching the
 /// Robinhood accounting so Table 2 compares object counts fairly.
@@ -45,7 +45,7 @@ pub struct HopscotchTrace {
 /// A Hopscotch hash table with neighborhood `H` and per-home overflow.
 pub struct HopscotchTable {
     slots: Vec<Option<Slot>>,
-    overflow: HashMap<usize, Vec<Slot>>,
+    overflow: FastMap<usize, Vec<Slot>>,
     capacity: usize,
     h: usize,
     slot_value_bytes: u32,
@@ -59,7 +59,7 @@ impl HopscotchTable {
         assert!(capacity >= h && h > 0);
         HopscotchTable {
             slots: vec![None; capacity],
-            overflow: HashMap::new(),
+            overflow: FastMap::default(),
             capacity,
             h,
             slot_value_bytes,

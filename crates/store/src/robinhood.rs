@@ -34,8 +34,7 @@
 
 use crate::hash::slot_for;
 use crate::types::{Key, Value, Version, WritePayload};
-use std::collections::HashMap;
-use xenic_sim::SmallVec;
+use xenic_sim::{FastMap, SmallVec};
 
 /// Fixed per-slot metadata bytes: key (8) + displacement (4) + version (8)
 /// + value length (2), padded to 24.
@@ -198,7 +197,7 @@ pub struct RobinhoodTable {
     cfg: RobinhoodConfig,
     slots: Vec<Option<Slot>>,
     /// Overflow buckets keyed by segment id.
-    overflow: HashMap<usize, Vec<OverflowEntry>>,
+    overflow: FastMap<usize, Vec<OverflowEntry>>,
     /// Highest displacement ever placed, per home-segment (the host-side
     /// truth that the NIC's `d_i` hints track). Monotone: deletions do not
     /// decrease it, matching the "highest known" semantics.
@@ -217,7 +216,7 @@ impl RobinhoodTable {
         let segments = cfg.capacity.div_ceil(cfg.segment_slots);
         RobinhoodTable {
             slots: vec![None; cfg.capacity],
-            overflow: HashMap::new(),
+            overflow: FastMap::default(),
             seg_max_disp: vec![0; segments],
             global_max_disp: 0,
             len: 0,
@@ -1013,5 +1012,26 @@ mod tests {
         let n = t.iter_keys().count();
         assert_eq!(n, 56);
         assert!(t.overflow_len() > 0);
+    }
+
+    #[test]
+    fn identical_builds_iterate_in_the_same_order() {
+        // The overflow buckets live in a hash map; its iteration order
+        // must be a function of the contents, not of the process or the
+        // map instance, or anything fed from `iter_keys` (recovery
+        // scans, digests) could differ between two identical runs.
+        let build = || {
+            let mut t = RobinhoodTable::new(cfg(64, Some(1)));
+            for k in 0..56 {
+                t.insert(k, val(0));
+            }
+            t
+        };
+        let (a, b) = (build(), build());
+        let overflow_segments = (0..a.segments()).filter(|&s| a.seg_has_overflow(s)).count();
+        assert!(overflow_segments >= 2, "need several overflow buckets");
+        let order_a: Vec<(Key, Version)> = a.iter_keys().collect();
+        let order_b: Vec<(Key, Version)> = b.iter_keys().collect();
+        assert_eq!(order_a, order_b);
     }
 }

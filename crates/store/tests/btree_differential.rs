@@ -1,6 +1,8 @@
 //! Differential test: [`xenic_store::BTree`] must agree with
 //! `std::collections::BTreeMap` on arbitrary randomized schedules of
-//! `insert` / `remove` / `get` / `range` / `first_at_or_after`
+//! `insert` / `remove` / `get` / `range` / `first_at_or_after`, and the
+//! leaf-batched `range_visit_leaves` must agree with the per-key
+//! `range_visit` on keys and visited-node counts
 //! (mirroring `queue_differential.rs` in the sim crate). The tree shipped
 //! dead for five PRs — the scan path now depends on it, so every public
 //! operation is exercised against the reference over ≥ 10^5 operations
@@ -77,6 +79,38 @@ fn differential(seed: u64, steps: usize, order: usize, universe: u64, describe: 
                 });
                 let want3: Vec<u64> = want.iter().take(3).map(|(k, _)| *k).collect();
                 assert_eq!(first3, want3, "{describe}: range_visit limit @ {step}");
+                // Leaf-batched visitor stopped at a random row: the same
+                // keys and the same visited-node count as the per-key
+                // visitor stopped at that row. A walk stopped at key `r`
+                // also visits exactly the nodes a full walk of `lo..=r`
+                // does — an oracle independent of either visitor.
+                let stop = 1 + rng.below(want.len() as u64 + 2) as usize;
+                let mut per_key: Vec<u64> = Vec::new();
+                let key_visits = t.range_visit(lo, hi, &mut |k, _| {
+                    per_key.push(k);
+                    per_key.len() < stop
+                });
+                let mut batched: Vec<u64> = Vec::new();
+                let leaf_visits = t.range_visit_leaves(lo, hi, &mut |keys, vals| {
+                    assert_eq!(keys.len(), vals.len(), "{describe}: leaf run @ {step}");
+                    assert!(!keys.is_empty(), "{describe}: empty leaf run @ {step}");
+                    for &k in keys {
+                        batched.push(k);
+                        if batched.len() == stop {
+                            return false;
+                        }
+                    }
+                    true
+                });
+                let want_keys: Vec<u64> = want.iter().take(stop).map(|(k, _)| *k).collect();
+                assert_eq!(batched, want_keys, "{describe}: leaf keys @ {step}");
+                assert_eq!(per_key, want_keys, "{describe}: per-key keys @ {step}");
+                assert_eq!(leaf_visits, key_visits, "{describe}: leaf visits @ {step}");
+                if batched.len() == stop {
+                    let r = *batched.last().expect("stopped on a row");
+                    let full = t.range_visit_leaves(lo, r, &mut |_, _| true);
+                    assert_eq!(leaf_visits, full, "{describe}: stop-point visits @ {step}");
+                }
             }
             // ---- successor queries ----
             _ => {
@@ -140,6 +174,28 @@ fn matches_btreemap_delete_heavy() {
                 r.range(lo..).next().map(|(k, _)| *k),
                 "successor {probe} wave {wave}"
             );
+        }
+        // Scans across the pruned regions: leaf-batched and per-key
+        // walks stopped at the same row agree on keys and node count.
+        for probe in 0..50 {
+            let lo = rng.below(600 * 13);
+            let hi = lo + rng.below(600);
+            let stop = 1 + rng.below(64) as usize;
+            let mut per_key = Vec::new();
+            let key_visits = t.range_visit(lo, hi, &mut |k, _| {
+                per_key.push(k);
+                per_key.len() < stop
+            });
+            let mut batched = Vec::new();
+            let leaf_visits = t.range_visit_leaves(lo, hi, &mut |keys, _| {
+                let take = keys.len().min(stop - batched.len());
+                batched.extend_from_slice(&keys[..take]);
+                batched.len() < stop
+            });
+            let want: Vec<u64> = r.range(lo..=hi).take(stop).map(|(k, _)| *k).collect();
+            assert_eq!(per_key, want, "scan {probe} wave {wave}");
+            assert_eq!(batched, want, "leaf scan {probe} wave {wave}");
+            assert_eq!(leaf_visits, key_visits, "scan visits {probe} wave {wave}");
         }
         assert_eq!(t.len(), r.len(), "wave {wave}");
     }

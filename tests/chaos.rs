@@ -28,6 +28,9 @@ use xenic_store::Value;
 struct Counters {
     keys: u64,
     remote_frac: f64,
+    /// How many times each transaction's write set names its counter
+    /// (each mention adds 1).
+    mentions: usize,
 }
 
 impl Workload for Counters {
@@ -39,7 +42,10 @@ impl Workload for Counters {
         };
         TxnSpec {
             reads: vec![make_key(node as u32, rng.below(self.keys))],
-            updates: vec![(make_key(shard, rng.below(self.keys)), UpdateOp::AddI64(1))],
+            updates: vec![
+                (make_key(shard, rng.below(self.keys)), UpdateOp::AddI64(1));
+                self.mentions
+            ],
             exec_host_ns: 150,
             exec_nic_ns: 480,
             ship: ShipMode::Nic,
@@ -68,6 +74,16 @@ fn chaos_cluster_cfg(
     seed: u64,
     plan: FaultPlan,
 ) -> Cluster<Xenic> {
+    chaos_cluster_mentions(cfg, windows, seed, plan, 1)
+}
+
+fn chaos_cluster_mentions(
+    cfg: XenicConfig,
+    windows: usize,
+    seed: u64,
+    plan: FaultPlan,
+    mentions: usize,
+) -> Cluster<Xenic> {
     let part = Partitioning::new(6, 3);
     let net = NetConfig::full().with_faults(plan);
     let mut cluster: Cluster<Xenic> =
@@ -79,6 +95,7 @@ fn chaos_cluster_cfg(
                 Box::new(Counters {
                     keys: 3000,
                     remote_frac: 0.7,
+                    mentions,
                 }),
                 windows,
             )
@@ -127,11 +144,16 @@ fn committed_total(cluster: &Cluster<Xenic>) -> u64 {
 }
 
 fn assert_conserved(cluster: &Cluster<Xenic>, min_committed: u64) {
+    assert_conserved_per_txn(cluster, min_committed, 1);
+}
+
+/// Conservation when every committed transaction adds `per_txn`.
+fn assert_conserved_per_txn(cluster: &Cluster<Xenic>, min_committed: u64, per_txn: u64) {
     let committed = committed_total(cluster);
     assert!(committed > min_committed, "committed only {committed}");
     assert_eq!(
         counter_sum(cluster) as u64,
-        committed,
+        committed * per_txn,
         "increments lost or duplicated under faults"
     );
     let outstanding: usize = cluster.states.iter().map(|s| s.log.outstanding()).sum();
@@ -249,6 +271,26 @@ fn all_backends_conserve_under_loss_and_duplication() {
         cluster.run_until(SimTime::from_ms(4));
         drain(&mut cluster, SimTime::from_ms(200));
         assert_conserved(&cluster, 1_000);
+        assert_replicas_converged(&cluster);
+        assert_no_invalidation_residue(&cluster);
+    }
+}
+
+/// A commit record that names one key twice — TPC-C new-order draws its
+/// stock items with replacement — carries two writes of that key at one
+/// version. Every backend's backups must apply both, as the primary
+/// does, and still drop a duplicated record whole: under loss and
+/// duplication each transaction adds exactly 2 and every replica ends
+/// equal to its primary.
+#[test]
+fn all_backends_converge_when_a_record_names_a_key_twice() {
+    for &backend in ReplBackend::ALL.iter() {
+        let plan = FaultPlan::lossy(0.005, 0.005, 1_000);
+        let mut cluster =
+            chaos_cluster_mentions(XenicConfig::with_backend(backend), 6, 84, plan, 2);
+        cluster.run_until(SimTime::from_ms(3));
+        drain(&mut cluster, SimTime::from_ms(200));
+        assert_conserved_per_txn(&cluster, 500, 2);
         assert_replicas_converged(&cluster);
         assert_no_invalidation_residue(&cluster);
     }

@@ -21,14 +21,21 @@ echo "==> cargo test --release -q -p xenic-store --test btree_differential"
 # this fast while still exercising split/merge/borrow at both orders.
 cargo test --release -q -p xenic-store --test btree_differential
 
+echo "==> cargo test --release -q -p xenic-store --test nic_index_differential"
+# The NIC caching index (inline records, packed metadata, leaf-batched
+# prefetched range walks) against the Vec-per-segment reference model:
+# results, stats, clock eviction victims and held_locks() order under
+# random schedules with eviction pressure.
+cargo test --release -q -p xenic-store --test nic_index_differential
+
 echo "==> perf_report --quick (alloc-count, budget-gated)"
 # The counting allocator's overhead is one relaxed atomic per allocation
 # — noise — so the gated run also refreshes BENCH_simperf.json with both
 # throughput and allocs/event. Budgets sit ~15 % above the measured
-# steady state (retwis 555, chaos 555, tpcc_mix 2155, ycsbe 723,
+# steady state (retwis 555, chaos 555, tpcc_mix 2155, ycsbe 451,
 # tpcc_stock 2283 allocs/kevent) so hot-path re-fattening trips them.
 cargo run --release -q -p xenic-bench --features alloc-count --bin perf_report -- \
-    --quick --alloc-budget retwis_fig8=650,chaos_replay=650,tpcc_mix=2500,ycsbe_mix=850,tpcc_stock=2650
+    --quick --alloc-budget retwis_fig8=650,chaos_replay=650,tpcc_mix=2500,ycsbe_mix=520,tpcc_stock=2650
 
 echo "==> serial_fuzz --quick"
 # Includes all four checker self-tests: xenic-weakened (skipped version
